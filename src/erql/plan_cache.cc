@@ -102,6 +102,9 @@ std::unique_ptr<CompiledQuery> PlanCache::Checkout(const std::string& key,
 void PlanCache::CheckIn(const std::string& key, uint64_t generation,
                         std::unique_ptr<CompiledQuery> plan) {
   if (plan == nullptr) return;
+  // An idle plan keeps no rows: build tables and buffers are rebuilt by
+  // the next Open() anyway.
+  if (plan->plan != nullptr) plan->plan->ReleaseState();
   std::unique_lock<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {

@@ -60,8 +60,9 @@ class PlanCache {
   std::unique_ptr<CompiledQuery> Checkout(const std::string& key,
                                           uint64_t generation);
 
-  /// Returns a plan to the pool for `key`. Dropped silently when the
-  /// generation has moved on, the per-key pool is full, or inserting
+  /// Returns a plan to the pool for `key`, after freeing its
+  /// per-execution state (Operator::ReleaseState). Dropped silently when
+  /// the generation has moved on, the per-key pool is full, or inserting
   /// would exceed capacity after LRU eviction.
   void CheckIn(const std::string& key, uint64_t generation,
                std::unique_ptr<CompiledQuery> plan);

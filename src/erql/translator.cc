@@ -30,6 +30,9 @@ struct AliasInfo {
   std::vector<std::string> key_names;
   // Attribute/column name -> absolute position in the current plan row.
   std::map<std::string, int> columns;
+  // The alias's plan is a full-key point lookup: it yields at most one
+  // row, so joins leaving it probe indexes instead of building hashes.
+  bool point_bound = false;
 };
 
 struct Scope {
@@ -239,12 +242,27 @@ class TranslatorImpl {
   Status CollectAttrTouches(const ExprAst& ast, bool predicate);
   Status CollectFootprintAttrs();
 
+  /// A parameterised lookup of an alias against one shard's database:
+  /// the inner side of a LookupJoinOp, reading its key from the join's
+  /// slot.
+  using ProbeBuilder = std::function<Result<OperatorPtr>(MappedDatabase*)>;
+
   /// Builds the base plan for one alias, applying its pushed-down
   /// conjuncts (and a key lookup when they pin the full key).
   /// `join_side` marks aliases brought in by a JOIN for the footprint.
+  /// With `probe`, the base plan is the probe's parameterised lookup
+  /// instead (pinned conjuncts then filter it), and `*probed` says
+  /// whether it was: a storage without such a lookup (NotImplemented)
+  /// falls back to the scan plan.
   Result<OperatorPtr> BuildAliasPlan(AliasDecl* decl,
                                      std::vector<ExprAstPtr> conjuncts,
-                                     AliasInfo* info_out, bool join_side);
+                                     AliasInfo* info_out, bool join_side,
+                                     const ProbeBuilder& probe = nullptr,
+                                     bool* probed = nullptr);
+
+  /// The probe's lookup on every database the alias's rows may live on,
+  /// all reading one key slot; nullptr when the storage has none.
+  Result<OperatorPtr> ProbePlan(const ProbeBuilder& probe, bool branch_local);
 
   Result<ExprPtr> Bind(const ExprAst& ast, Scope* scope);
 
@@ -605,7 +623,7 @@ Result<ExprPtr> TranslatorImpl::Bind(const ExprAst& ast, Scope* scope) {
 
 Result<OperatorPtr> TranslatorImpl::BuildAliasPlan(
     AliasDecl* decl, std::vector<ExprAstPtr> conjuncts, AliasInfo* info_out,
-    bool join_side) {
+    bool join_side, const ProbeBuilder& probe, bool* probed) {
   // Detect a full-key point lookup: equality conjuncts ident = literal
   // (or literal = ident) covering every key attribute.
   std::map<std::string, Value> pinned;
@@ -638,7 +656,14 @@ Result<OperatorPtr> TranslatorImpl::BuildAliasPlan(
                                            : obs::EntityPath::kScan);
   bool branch_local =
       shards_ == nullptr || local_aliases_.count(decl->alias) > 0;
-  if (point_lookup) {
+  if (probe) {
+    ERBIUM_ASSIGN_OR_RETURN(plan, ProbePlan(probe, branch_local));
+  }
+  if (probed != nullptr) *probed = plan != nullptr;
+  if (plan != nullptr) {
+    point_lookup = false;  // the pinned conjuncts filter the probe
+    std::fill(consumed.begin(), consumed.end(), false);
+  } else if (point_lookup) {
     IndexKey key;
     for (const std::string& name : decl->key_names) {
       key.push_back(pinned.at(name));
@@ -675,6 +700,7 @@ Result<OperatorPtr> TranslatorImpl::BuildAliasPlan(
   info.alias = decl->alias;
   info.entity = decl->entity;
   info.key_names = decl->key_names;
+  info.point_bound = point_lookup;
   int position = 0;
   for (const std::string& k : decl->key_names) info.columns[k] = position++;
   for (const std::string& a : decl->needed) info.columns[a] = position++;
@@ -693,6 +719,26 @@ Result<OperatorPtr> TranslatorImpl::BuildAliasPlan(
   }
   *info_out = std::move(info);
   return plan;
+}
+
+Result<OperatorPtr> TranslatorImpl::ProbePlan(const ProbeBuilder& probe,
+                                              bool branch_local) {
+  std::vector<MappedDatabase*> dbs =
+      branch_local ? std::vector<MappedDatabase*>{db_} : shards_->dbs;
+  std::vector<OperatorPtr> children;
+  for (MappedDatabase* db : dbs) {
+    Result<OperatorPtr> child = probe(db);
+    if (!child.ok()) {
+      if (child.status().code() == StatusCode::kNotImplemented) {
+        return OperatorPtr();
+      }
+      return child.status();
+    }
+    children.push_back(std::move(child).value());
+  }
+  if (children.size() == 1) return std::move(children.front());
+  any_global_scan_ = true;
+  return OperatorPtr(std::make_unique<UnionAllOp>(std::move(children)));
 }
 
 Result<CompiledQuery> TranslatorImpl::Run() {
@@ -960,11 +1006,25 @@ Result<CompiledQuery> TranslatorImpl::Run() {
     const JoinClause& join = query_.joins[j];
     AliasDecl* decl = &decls_[j + 1];
     AliasInfo right_info;
-    ERBIUM_ASSIGN_OR_RETURN(
-        OperatorPtr right_plan,
-        BuildAliasPlan(decl, pushed[decl->alias], &right_info,
-                       /*join_side=*/true));
-    int right_width = static_cast<int>(right_plan->output_columns().size());
+    OperatorPtr right_plan;
+    int right_width = 0;
+    auto build_right = [&](const ProbeBuilder& probe, bool* probed) {
+      Result<OperatorPtr> built =
+          BuildAliasPlan(decl, pushed[decl->alias], &right_info,
+                         /*join_side=*/true, probe, probed);
+      if (!built.ok()) return built.status();
+      right_plan = std::move(built).value();
+      right_width = static_cast<int>(right_plan->output_columns().size());
+      return Status::OK();
+    };
+    // A key-bound navigation: the outer alias yields at most one row, so
+    // the join probes indexes by its key (1 + k probes) instead of
+    // hash-joining full scans. Sharded branches probe only where the
+    // edges are branch-local; every other join keeps its hash plan.
+    auto probes_from = [&](const AliasInfo& outer) {
+      return outer.point_bound &&
+             (shards_ == nullptr || local_rel_joins_.count(j) > 0);
+    };
 
     if (!join.relationship.empty()) {
       const std::string& rel_name = join.relationship;
@@ -1012,9 +1072,27 @@ Result<CompiledQuery> TranslatorImpl::Run() {
               "no in-scope entity participates in " + rel_name);
         }
         // plan ⋈ rel-instances ⋈ new entity.
+        KeySlot rel_slot;
+        KeySlot far_slot;
+        bool far_probed = false;
+        if (probes_from(*old_info)) {
+          rel_slot = std::make_shared<IndexKey>();
+          far_slot = std::make_shared<IndexKey>();
+          ERBIUM_RETURN_NOT_OK(build_right(
+              [&](MappedDatabase* db) {
+                return db->LookupEntity(decl->entity, far_slot, decl->needed);
+              },
+              &far_probed));
+        } else {
+          ERBIUM_RETURN_NOT_OK(build_right(nullptr, nullptr));
+        }
         TouchRelationship(rel_name, /*fused=*/false);
         OperatorPtr rel_scan;
-        if (shards_ == nullptr || local_rel_joins_.count(j) > 0) {
+        if (rel_slot != nullptr) {
+          ERBIUM_ASSIGN_OR_RETURN(
+              rel_scan,
+              db_->LookupRelationship(rel_name, old_side.role, rel_slot));
+        } else if (shards_ == nullptr || local_rel_joins_.count(j) > 0) {
           ERBIUM_ASSIGN_OR_RETURN(rel_scan, db_->ScanRelationship(rel_name));
         } else {
           // Edges route by the dominant participant; the bound side here
@@ -1090,10 +1168,16 @@ Result<CompiledQuery> TranslatorImpl::Run() {
             }
           }
         }
-        plan = std::make_unique<HashJoinOp>(std::move(plan),
-                                            std::move(rel_scan),
-                                            std::move(left_keys),
-                                            std::move(rel_old_keys));
+        if (rel_slot != nullptr) {
+          plan = std::make_unique<LookupJoinOp>(
+              std::move(plan), std::move(rel_scan), std::move(left_keys),
+              rel_slot);
+        } else {
+          plan = std::make_unique<HashJoinOp>(std::move(plan),
+                                              std::move(rel_scan),
+                                              std::move(left_keys),
+                                              std::move(rel_old_keys));
+        }
         // Join the new entity on the relationship's new-side key columns.
         std::vector<ExprPtr> probe_keys;
         {
@@ -1113,10 +1197,16 @@ Result<CompiledQuery> TranslatorImpl::Run() {
           build_keys.push_back(MakeColumnRef(it->second, c.name));
         }
         int offset = scope.width + rel_width;
-        plan = std::make_unique<HashJoinOp>(std::move(plan),
-                                            std::move(right_plan),
-                                            std::move(probe_keys),
-                                            std::move(build_keys));
+        if (far_probed) {
+          plan = std::make_unique<LookupJoinOp>(
+              std::move(plan), std::move(right_plan), std::move(probe_keys),
+              far_slot);
+        } else {
+          plan = std::make_unique<HashJoinOp>(std::move(plan),
+                                              std::move(right_plan),
+                                              std::move(probe_keys),
+                                              std::move(build_keys));
+        }
         scope.aliases.push_back(rel_info);
         for (auto& [name, pos] : right_info.columns) pos += offset;
         scope.aliases.push_back(right_info);
@@ -1154,6 +1244,23 @@ Result<CompiledQuery> TranslatorImpl::Run() {
         return Status::AnalysisError("no in-scope participant for " +
                                      rel_name);
       }
+      // Owner -> weak probes the owner-key index; weak -> owner looks
+      // the owner up by the weak row's owner-key prefix.
+      KeySlot slot;
+      bool probed = false;
+      if (probes_from(*old_info)) {
+        slot = std::make_shared<IndexKey>();
+        ERBIUM_RETURN_NOT_OK(build_right(
+            [&](MappedDatabase* db) {
+              return new_is_weak
+                         ? db->LookupWeakByOwner(decl->entity, slot,
+                                                 decl->needed)
+                         : db->LookupEntity(decl->entity, slot, decl->needed);
+            },
+            &probed));
+      } else {
+        ERBIUM_RETURN_NOT_OK(build_right(nullptr, nullptr));
+      }
       TouchRelationship(rel_name, /*fused=*/false);
       ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> owner_key,
                               db_->mapping().KeyColumns(owner));
@@ -1170,10 +1277,16 @@ Result<CompiledQuery> TranslatorImpl::Run() {
         right_keys.push_back(MakeColumnRef(right_it->second, c.name));
       }
       int offset = scope.width;
-      plan = std::make_unique<HashJoinOp>(std::move(plan),
-                                          std::move(right_plan),
-                                          std::move(left_keys),
-                                          std::move(right_keys));
+      if (probed) {
+        plan = std::make_unique<LookupJoinOp>(
+            std::move(plan), std::move(right_plan), std::move(left_keys),
+            slot);
+      } else {
+        plan = std::make_unique<HashJoinOp>(std::move(plan),
+                                            std::move(right_plan),
+                                            std::move(left_keys),
+                                            std::move(right_keys));
+      }
       for (auto& [name, pos] : right_info.columns) pos += offset;
       scope.aliases.push_back(right_info);
       scope.width = offset + right_width;
@@ -1182,6 +1295,7 @@ Result<CompiledQuery> TranslatorImpl::Run() {
 
     // Theta join on an expression: try to extract equi keys, else fall
     // back to a nested-loop join.
+    ERBIUM_RETURN_NOT_OK(build_right(nullptr, nullptr));
     std::vector<ExprAstPtr> on_conjuncts;
     SplitConjuncts(join.on_expr, &on_conjuncts);
     std::vector<ExprPtr> left_keys;

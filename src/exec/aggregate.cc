@@ -242,6 +242,11 @@ HashAggregateOp::HashAggregateOp(OperatorPtr child,
 
 HashAggregateOp::~HashAggregateOp() = default;
 
+void HashAggregateOp::ReleaseState() {
+  groups_.reset();
+  Operator::ReleaseState();
+}
+
 Status HashAggregateOp::OpenImpl() {
   groups_ = std::make_unique<AggGroupTable>();
   next_group_ = 0;

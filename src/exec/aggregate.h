@@ -114,6 +114,7 @@ class HashAggregateOp : public Operator {
   std::vector<const Operator*> children() const override {
     return {child_.get()};
   }
+  void ReleaseState() override;
 
  private:
   OperatorPtr child_;

@@ -52,6 +52,31 @@ class LiteralExpr : public Expr {
   Value value_;
 };
 
+/// The probe key of a parameterised point access (an IndexKey): a
+/// LookupJoinOp writes it before each re-open of its inner plan, whose
+/// IndexLookups and KeySlotExprs read it. One plan instance runs on one
+/// thread at a time, so the slot needs no synchronization.
+using KeySlot = std::shared_ptr<std::vector<Value>>;
+
+/// The `index`-th value of a key slot as it is when evaluated; null while
+/// the slot holds fewer values.
+class KeySlotExpr : public Expr {
+ public:
+  KeySlotExpr(KeySlot slot, size_t index)
+      : slot_(std::move(slot)), index_(index) {}
+
+  Value Eval(const Row&) const override {
+    return index_ < slot_->size() ? (*slot_)[index_] : Value::Null();
+  }
+  std::string ToString() const override {
+    return "$key" + std::to_string(index_);
+  }
+
+ private:
+  KeySlot slot_;
+  size_t index_;
+};
+
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 /// Three-valued comparison: null operand -> null result.

@@ -103,6 +103,12 @@ bool HashJoinOp::NextImpl(Row* out) {
   }
 }
 
+void HashJoinOp::ReleaseState() {
+  decltype(hash_table_)().swap(hash_table_);
+  current_matches_ = nullptr;
+  Operator::ReleaseState();
+}
+
 OperatorPtr HashJoinOp::CloneForWorker(ParallelContext* ctx) const {
   // Inside a join-build pipeline a probe would make a pool task wait on
   // another pool task; decline and let that join run serially.
@@ -177,6 +183,12 @@ bool NestedLoopJoinOp::NextImpl(Row* out) {
   }
 }
 
+void NestedLoopJoinOp::ReleaseState() {
+  std::vector<Row>().swap(right_rows_);
+  right_materialized_ = false;
+  Operator::ReleaseState();
+}
+
 std::string NestedLoopJoinOp::name() const {
   std::string out = join_type_ == JoinType::kLeftOuter ? "NestedLoopLeftJoin"
                                                        : "NestedLoopJoin";
@@ -248,6 +260,54 @@ std::string IndexJoinOp::name() const {
   std::string out =
       join_type_ == JoinType::kLeftOuter ? "IndexLeftJoin(" : "IndexJoin(";
   out += right_->name();
+  out += ")";
+  return out;
+}
+
+// ---- LookupJoinOp ------------------------------------------------------------
+
+LookupJoinOp::LookupJoinOp(OperatorPtr left, OperatorPtr inner,
+                           std::vector<ExprPtr> left_keys, KeySlot slot)
+    : left_(std::move(left)),
+      inner_(std::move(inner)),
+      left_keys_(std::move(left_keys)),
+      slot_(std::move(slot)) {
+  output_ = ConcatColumns(left_->output_columns(), inner_->output_columns());
+}
+
+Status LookupJoinOp::OpenImpl() {
+  slot_->clear();
+  has_left_ = false;
+  ERBIUM_RETURN_NOT_OK(inner_->Open());
+  return left_->Open();
+}
+
+bool LookupJoinOp::NextImpl(Row* out) {
+  while (true) {
+    if (has_left_) {
+      if (inner_->Next(&inner_row_)) {
+        *out = current_left_;
+        AppendRow(inner_row_, out);
+        return true;
+      }
+      has_left_ = false;
+    }
+    if (!left_->Next(&current_left_)) return false;
+    *slot_ = EvalKeys(left_keys_, current_left_);
+    if (KeyHasNull(*slot_)) continue;
+    // The priming Open() in OpenImpl already surfaced any plan error; a
+    // re-open of the same plan differs only in the key it probes.
+    if (!inner_->Open().ok()) return false;
+    has_left_ = true;
+  }
+}
+
+std::string LookupJoinOp::name() const {
+  std::string out = "LookupJoin(";
+  for (size_t i = 0; i < left_keys_.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += left_keys_[i]->ToString() + " = $key" + std::to_string(i);
+  }
   out += ")";
   return out;
 }

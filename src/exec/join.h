@@ -31,6 +31,10 @@ class HashJoinOp : public Operator {
   size_t EstimatedRowCount() const override {
     return left_->EstimatedRowCount();
   }
+  void ReleaseState() override;
+
+  /// Distinct build keys held from the last Open() (0 once released).
+  size_t build_entries() const { return hash_table_.size(); }
 
  private:
   OperatorPtr left_;
@@ -49,7 +53,8 @@ class HashJoinOp : public Operator {
 };
 
 /// Nested-loop join with an arbitrary predicate over the concatenated row;
-/// the fallback for non-equi joins. Materializes the right child.
+/// the fallback for non-equi joins. Materializes the right child once per
+/// execution (re-opens inside one execution reuse it).
 class NestedLoopJoinOp : public Operator {
  public:
   NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr predicate,
@@ -61,6 +66,10 @@ class NestedLoopJoinOp : public Operator {
   std::vector<const Operator*> children() const override {
     return {left_.get(), right_.get()};
   }
+  void ReleaseState() override;
+
+  /// Right-side rows held from the last execution (0 once released).
+  size_t materialized_rows() const { return right_rows_.size(); }
 
  private:
   OperatorPtr left_;
@@ -113,6 +122,44 @@ class IndexJoinOp : public Operator {
   size_t match_index_ = 0;
   bool has_left_ = false;
   size_t right_arity_ = 0;
+};
+
+/// Index nested-loop join over a parameterised inner plan: for each left
+/// row, writes the row's `left_keys` into `slot` and re-opens `inner`,
+/// whose IndexLookups read their probe key from that slot. The inner plan
+/// is built once at compile time (a key-bound navigation's relationship
+/// probe or far-entity lookup), so a left side of k rows costs k index
+/// probes instead of a full build of the inner side. Output: left columns
+/// then inner columns, as HashJoinOp. Rows with a null key join nothing.
+///
+/// Open() opens the inner plan once with an empty slot, which probes
+/// nothing but resolves every version the inner plan reads through the
+/// statement's snapshot on the statement thread; later re-opens, on pool
+/// workers too, read those same pins (exec/snapshot.h).
+class LookupJoinOp : public Operator {
+ public:
+  LookupJoinOp(OperatorPtr left, OperatorPtr inner,
+               std::vector<ExprPtr> left_keys, KeySlot slot);
+
+  Status OpenImpl() override;
+  bool NextImpl(Row* out) override;
+  std::string name() const override;
+  std::vector<const Operator*> children() const override {
+    return {left_.get(), inner_.get()};
+  }
+  size_t EstimatedRowCount() const override {
+    return left_->EstimatedRowCount();
+  }
+
+ private:
+  OperatorPtr left_;
+  OperatorPtr inner_;
+  std::vector<ExprPtr> left_keys_;
+  KeySlot slot_;
+
+  Row current_left_;
+  Row inner_row_;
+  bool has_left_ = false;
 };
 
 }  // namespace erbium

@@ -31,6 +31,13 @@ OperatorPtr Operator::CloneForWorker(ParallelContext* ctx) const {
   return nullptr;
 }
 
+void Operator::ReleaseState() {
+  // children() hands out const views of subtrees this node owns.
+  for (const Operator* child : children()) {
+    const_cast<Operator*>(child)->ReleaseState();
+  }
+}
+
 // Out-of-line analyze paths: the four clock reads per call are only paid
 // inside an EXPLAIN ANALYZE window, keeping the inline wrappers small.
 
@@ -97,6 +104,11 @@ OperatorPtr SeqScan::CloneForWorker(ParallelContext* ctx) const {
 
 IndexLookup::IndexLookup(const Table* table, std::vector<int> column_indexes,
                          IndexKey key)
+    : IndexLookup(table, std::move(column_indexes),
+                  std::make_shared<IndexKey>(std::move(key))) {}
+
+IndexLookup::IndexLookup(const Table* table, std::vector<int> column_indexes,
+                         KeySlot key)
     : table_(table),
       column_indexes_(std::move(column_indexes)),
       key_(std::move(key)) {
@@ -107,7 +119,13 @@ Status IndexLookup::OpenImpl() {
   version_ = exec::ResolveVersion(table_, &owned_pin_);
   matches_.clear();
   next_ = 0;
-  table_->LookupEqualIn(*version_, column_indexes_, key_, &matches_);
+  const IndexKey& key = *key_;
+  if (key.size() == column_indexes_.size()) {
+    table_->LookupEqualIn(*version_, column_indexes_, key, &matches_);
+  } else if (key.size() > column_indexes_.size()) {
+    IndexKey prefix(key.begin(), key.begin() + column_indexes_.size());
+    table_->LookupEqualIn(*version_, column_indexes_, prefix, &matches_);
+  }
   return Status::OK();
 }
 
@@ -233,6 +251,11 @@ bool DistinctOp::NextImpl(Row* out) {
     if (seen_->rows.insert(*out).second) return true;
   }
   return false;
+}
+
+void DistinctOp::ReleaseState() {
+  seen_.reset();
+  Operator::ReleaseState();
 }
 
 // ---- UnnestOp ---------------------------------------------------------------

@@ -68,6 +68,13 @@ class Operator {
   /// An upper bound is fine; used only for container reservations.
   virtual size_t EstimatedRowCount() const { return 0; }
 
+  /// Frees the per-execution state of this subtree (hash-join build
+  /// tables, materialized or buffered rows, group tables) and stops any
+  /// pool workers still draining it; the next Open() rebuilds everything.
+  /// Called when a cached plan goes back into the plan cache, so an idle
+  /// plan holds no rows. The default recurses into children().
+  virtual void ReleaseState();
+
  protected:
   Operator() = default;
 
@@ -131,6 +138,12 @@ class IndexLookup : public Operator {
  public:
   IndexLookup(const Table* table, std::vector<int> column_indexes,
               IndexKey key);
+  /// Parameterised form: each Open() probes the first |column_indexes|
+  /// values the slot holds at that moment (a longer key is read as its
+  /// prefix: an owner's key inside a weak entity's key). A slot holding
+  /// fewer values matches nothing.
+  IndexLookup(const Table* table, std::vector<int> column_indexes,
+              KeySlot key);
 
   Status OpenImpl() override;
   bool NextImpl(Row* out) override;
@@ -143,7 +156,7 @@ class IndexLookup : public Operator {
   const TableVersion* version_ = nullptr;
   std::shared_ptr<const TableVersion> owned_pin_;
   std::vector<int> column_indexes_;
-  IndexKey key_;
+  KeySlot key_;
   std::vector<RowId> matches_;
   size_t next_ = 0;
 };
@@ -246,6 +259,7 @@ class DistinctOp : public Operator {
   std::vector<const Operator*> children() const override {
     return {child_.get()};
   }
+  void ReleaseState() override;
   size_t EstimatedRowCount() const override {
     return child_->EstimatedRowCount();
   }

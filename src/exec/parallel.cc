@@ -395,6 +395,13 @@ void GatherOp::Shutdown() {
   ctx_->ReleaseScanVersions();
 }
 
+void GatherOp::ReleaseState() {
+  Shutdown();
+  ctx_->ResetForExecution();  // frees the shared join-build partitions
+  serial_plan_->ReleaseState();
+  for (const OperatorPtr& w : workers_) w->ReleaseState();
+}
+
 Status GatherOp::OpenImpl() {
   Shutdown();
   ctx_->ResetForExecution();
@@ -473,6 +480,13 @@ ParallelHashAggregateOp::ParallelHashAggregateOp(
 }
 
 ParallelHashAggregateOp::~ParallelHashAggregateOp() = default;
+
+void ParallelHashAggregateOp::ReleaseState() {
+  merged_.reset();
+  ctx_->ResetForExecution();
+  serial_child_->ReleaseState();
+  for (const OperatorPtr& w : worker_children_) w->ReleaseState();
+}
 
 Status ParallelHashAggregateOp::OpenImpl() {
   merged_ = std::make_unique<AggGroupTable>();

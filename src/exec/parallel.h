@@ -277,6 +277,7 @@ class GatherOp : public Operator {
   size_t EstimatedRowCount() const override {
     return serial_plan_->EstimatedRowCount();
   }
+  void ReleaseState() override;
 
   /// The serial plan this exchange was built from and the worker clones
   /// actually executed; EXPLAIN renders the serial tree with the workers'
@@ -318,6 +319,7 @@ class ParallelHashAggregateOp : public Operator {
   std::vector<const Operator*> children() const override {
     return {worker_children_.front().get()};
   }
+  void ReleaseState() override;
 
   const Operator* serial_child() const { return serial_child_.get(); }
   const std::vector<OperatorPtr>& worker_children() const {

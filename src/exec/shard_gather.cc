@@ -12,15 +12,6 @@ namespace {
 constexpr size_t kShardBatchRows = 1024;
 constexpr size_t kMaxQueuedBatchesPerBranch = 4;
 
-/// Copies the statement snapshot's pins (empty when no snapshot is
-/// installed — direct operator use in tests resolves operator-owned
-/// pins, which the branch operators hold themselves).
-std::vector<std::shared_ptr<const void>> SnapshotPins() {
-  exec::ReadSnapshot* snapshot = exec::ReadSnapshot::Current();
-  if (snapshot == nullptr) return {};
-  return snapshot->SharedPins();
-}
-
 }  // namespace
 
 // ---- ShardGatherOp ----------------------------------------------------------
@@ -39,12 +30,11 @@ void ShardGatherOp::Shutdown() {
   }
   futures_.clear();
   exchange_.reset();
-  DropPins();
 }
 
-void ShardGatherOp::DropPins() {
-  std::lock_guard<std::mutex> lock(pins_mu_);
-  pins_.clear();
+void ShardGatherOp::ReleaseState() {
+  Shutdown();
+  Operator::ReleaseState();
 }
 
 Status ShardGatherOp::OpenImpl() {
@@ -55,24 +45,26 @@ Status ShardGatherOp::OpenImpl() {
   for (const OperatorPtr& branch : branches_) {
     ERBIUM_RETURN_NOT_OK(branch->Open());
   }
-  {
-    std::lock_guard<std::mutex> lock(pins_mu_);
-    pins_ = SnapshotPins();
-  }
+  exec::ReadSnapshot::PinMap pins = exec::ReadSnapshot::CurrentPins();
   ThreadPool::Shared()->EnsureWorkers(static_cast<int>(branches_.size()));
   exchange_ = std::make_unique<RowExchange>(branches_.size(),
                                             kMaxQueuedBatchesPerBranch);
   futures_.reserve(branches_.size());
   for (size_t i = 0; i < branches_.size(); ++i) {
-    futures_.push_back(
-        ThreadPool::Shared()->Submit([this, i] { WorkerMain(i); }));
+    futures_.push_back(ThreadPool::Shared()->Submit(
+        [this, i, pins] { WorkerMain(i, pins); }));
   }
   current_batch_.clear();
   batch_pos_ = 0;
   return Status::OK();
 }
 
-void ShardGatherOp::WorkerMain(size_t branch) {
+void ShardGatherOp::WorkerMain(size_t branch,
+                               exec::ReadSnapshot::PinMap pins) {
+  // The statement's pins, held until this producer returns: a consumer
+  // that stops early (LIMIT) leaves producers running past the
+  // statement's own snapshot scope.
+  exec::ReadSnapshot snapshot(std::move(pins));
   RowExchange* ex = exchange_.get();
   std::vector<Row> batch;
   batch.reserve(kShardBatchRows);
@@ -86,8 +78,7 @@ void ShardGatherOp::WorkerMain(size_t branch) {
     }
   }
   if (!batch.empty()) ex->Push(branch, std::move(batch));
-  // The last branch out drops the version pins (mirrors GatherOp).
-  if (ex->MarkDone(branch)) DropPins();
+  ex->MarkDone(branch);
 }
 
 bool ShardGatherOp::NextImpl(Row* out) {
@@ -149,12 +140,16 @@ Status ShardMergeAggregateOp::OpenImpl() {
   // Open returns — aggregation is a pipeline breaker, so unlike the
   // gather above no worker can outlive the statement. Group expressions
   // and accumulators are shared across the tasks read-only, exactly as
-  // ParallelHashAggregateOp shares them across its morsel workers.
+  // ParallelHashAggregateOp shares them across its morsel workers. Each
+  // task reads the statement's pins, for the operators it re-opens.
+  exec::ReadSnapshot::PinMap pins = exec::ReadSnapshot::CurrentPins();
   std::vector<AggGroupTable> partials(branches_.size());
   std::vector<std::future<void>> futures;
   futures.reserve(branches_.size());
   for (size_t i = 0; i < branches_.size(); ++i) {
-    futures.push_back(ThreadPool::Shared()->Submit([this, i, &partials] {
+    futures.push_back(ThreadPool::Shared()->Submit([this, i, &partials,
+                                                    &pins] {
+      exec::ReadSnapshot snapshot(pins);
       Row row;
       while (branches_[i]->Next(&row)) {
         partials[i].Accumulate(group_exprs_, aggregates_, row);

@@ -3,12 +3,12 @@
 
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "exec/aggregate.h"
 #include "exec/operator.h"
+#include "exec/snapshot.h"
 
 namespace erbium {
 
@@ -38,22 +38,17 @@ class ShardGatherOp : public Operator {
   std::string name() const override;
   std::vector<const Operator*> children() const override;
   size_t EstimatedRowCount() const override;
+  void ReleaseState() override;
 
   const std::vector<OperatorPtr>& branches() const { return branches_; }
 
  private:
-  void WorkerMain(size_t branch);
+  void WorkerMain(size_t branch, exec::ReadSnapshot::PinMap pins);
   void Shutdown();
-  void DropPins();
 
   std::vector<OperatorPtr> branches_;
   std::unique_ptr<RowExchange> exchange_;
   std::vector<std::future<void>> futures_;
-  /// Keeps every version the branches resolved at Open alive until the
-  /// last producer finishes — a consumer that stops early (LIMIT) leaves
-  /// detached producers running past the statement's snapshot scope.
-  std::mutex pins_mu_;
-  std::vector<std::shared_ptr<const void>> pins_;
   std::vector<Row> current_batch_;
   size_t batch_pos_ = 0;
 };

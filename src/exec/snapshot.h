@@ -25,12 +25,22 @@ namespace exec {
 /// without an installed snapshot (migration scans, recovery, direct
 /// operator use in tests) fall back to an operator-owned pin.
 ///
-/// Pool workers must not resolve versions themselves: worker pipelines
+/// Pool workers must not resolve versions from scratch: worker pipelines
 /// are Open()ed on the statement thread, and ParallelContext pins the
-/// scanned versions for the workers' (possibly detached) lifetime.
+/// scanned versions for the workers' (possibly detached) lifetime. A
+/// worker that re-opens operators itself (a LookupJoinOp inside a shard
+/// branch) installs a snapshot seeded with CurrentPins(), so its
+/// re-opens read the versions the statement thread resolved.
 class ReadSnapshot {
  public:
+  using PinMap = std::unordered_map<const void*, std::shared_ptr<const void>>;
+
   ReadSnapshot() : prev_(tls_current_) { tls_current_ = this; }
+  /// A snapshot that starts from another one's pins (a pool worker's).
+  explicit ReadSnapshot(PinMap seed)
+      : pins_(std::move(seed)), prev_(tls_current_) {
+    tls_current_ = this;
+  }
   ~ReadSnapshot() { tls_current_ = prev_; }
 
   ReadSnapshot(const ReadSnapshot&) = delete;
@@ -53,21 +63,20 @@ class ReadSnapshot {
         it->second);
   }
 
-  /// Shared ownership of every pin taken so far. Operators that hand
-  /// pipelines to detached pool workers (cross-shard gather) copy these
-  /// after opening their children, so the versions the children resolved
-  /// stay valid even if the workers outlive the statement's snapshot.
-  std::vector<std::shared_ptr<const void>> SharedPins() const {
-    std::vector<std::shared_ptr<const void>> out;
-    out.reserve(pins_.size());
-    for (const auto& [key, pin] : pins_) out.push_back(pin);
-    return out;
+  /// Every pin the snapshot installed on this thread has taken so far,
+  /// shared (empty when none is installed). Operators that hand pipelines
+  /// to pool workers (cross-shard gather) copy these after opening their
+  /// children and seed each worker's snapshot with them, so the versions
+  /// the children resolved stay valid even if a detached worker outlives
+  /// the statement's snapshot.
+  static PinMap CurrentPins() {
+    return tls_current_ != nullptr ? tls_current_->pins_ : PinMap();
   }
 
  private:
   static thread_local ReadSnapshot* tls_current_;
 
-  std::unordered_map<const void*, std::shared_ptr<const void>> pins_;
+  PinMap pins_;
   ReadSnapshot* prev_;
 };
 

@@ -26,6 +26,11 @@ Status SortOp::OpenImpl() {
   return Status::OK();
 }
 
+void SortOp::ReleaseState() {
+  std::vector<Row>().swap(rows_);
+  Operator::ReleaseState();
+}
+
 bool SortOp::NextImpl(Row* out) {
   if (next_ >= rows_.size()) return false;
   *out = std::move(rows_[next_++]);

@@ -24,6 +24,7 @@ class SortOp : public Operator {
   std::vector<const Operator*> children() const override {
     return {child_.get()};
   }
+  void ReleaseState() override;
 
  private:
   OperatorPtr child_;

@@ -19,6 +19,17 @@
 
 namespace erbium {
 
+/// The key of a point access plan: fixed when the plan is built, or a
+/// slot a LookupJoinOp fills before each re-open. Readers use as many
+/// leading values as they have key columns (a weak entity's key starts
+/// with its owner's).
+struct PointKey {
+  KeySlot slot;
+  bool parameterised = false;
+  /// Value `i` as a plan expression: a literal, or a slot reference.
+  ExprPtr At(size_t i) const;
+};
+
 /// A database instance = an E/R schema + a chosen physical mapping +
 /// the physical storage it compiles to. This is the runtime object of
 /// the paper's Figure 3: CRUD statements against entities/relationships
@@ -137,6 +148,13 @@ class MappedDatabase {
                                    const IndexKey& key,
                                    const std::vector<std::string>& attrs);
 
+  /// Parameterised LookupEntity: the plan is built once and each Open()
+  /// probes the full key the slot holds at that moment (the inner side
+  /// of a LookupJoinOp). Columns as ScanEntity.
+  Result<OperatorPtr> LookupEntity(const std::string& class_name,
+                                   KeySlot key,
+                                   const std::vector<std::string>& attrs);
+
   /// Unnested multi-valued attribute stream: full key columns + one
   /// element column named after the attribute.
   Result<OperatorPtr> ScanMultiValued(const std::string& class_name,
@@ -145,6 +163,17 @@ class MappedDatabase {
   /// Relationship instance stream: role-prefixed key columns of both
   /// sides ("<role>_<keyattr>") followed by relationship attributes.
   Result<OperatorPtr> ScanRelationship(const std::string& rel_name);
+
+  /// Point-access twin of ScanRelationship, with the same columns: the
+  /// instances whose `bound_role` participant has the key the slot holds
+  /// at each Open(). Join tables probe their <rel>_left / <rel>_right
+  /// index. Foreign-key storage probes each carrier's <table>_<rel>_fk
+  /// index when the one side is bound, or the carrier row by its key
+  /// when the many side is bound. Materialized-join and factorized
+  /// storage scan and filter.
+  Result<OperatorPtr> LookupRelationship(const std::string& rel_name,
+                                         const std::string& bound_role,
+                                         KeySlot key);
 
   /// Fused scan over a relationship *and* both participants' attributes
   /// in a single pass — only available when the relationship is stored
@@ -163,6 +192,10 @@ class MappedDatabase {
   /// owner's folded array (folded storage). Columns as ScanEntity.
   Result<OperatorPtr> LookupWeakByOwner(const std::string& weak_entity,
                                         const IndexKey& owner_key,
+                                        const std::vector<std::string>& attrs);
+  /// Parameterised form: each Open() reads the owner key from the slot.
+  Result<OperatorPtr> LookupWeakByOwner(const std::string& weak_entity,
+                                        KeySlot owner_key,
                                         const std::vector<std::string>& attrs);
 
  private:
@@ -216,11 +249,23 @@ class MappedDatabase {
   /// `key_filter` (may be null) restricts to one key for point access.
   Result<OperatorPtr> BuildSegmentStream(const std::string& class_name,
                                          const std::vector<std::string>& attrs,
-                                         const IndexKey* key_filter);
+                                         const PointKey* key_filter);
 
   Result<OperatorPtr> BuildEntityPlan(const std::string& class_name,
                                       const std::vector<std::string>& attrs,
-                                      const IndexKey* key_filter);
+                                      const PointKey* key_filter);
+
+  /// Shared body of both LookupWeakByOwner forms.
+  Result<OperatorPtr> BuildWeakByOwner(const std::string& weak_entity,
+                                       const PointKey& owner_key,
+                                       const std::vector<std::string>& attrs);
+
+  /// The foreign-key storage arm of ScanRelationship / LookupRelationship:
+  /// each carrier table read by `carrier_source`, then projected to the
+  /// relationship's role-prefixed columns.
+  Result<OperatorPtr> ForeignKeyRelationship(
+      const RelationshipSetDef& rel,
+      const std::function<Result<OperatorPtr>(Table*)>& carrier_source);
 
   // -- CRUD helpers (database.cc / database_rel.cc) --
   Status InsertSegments(const std::string& class_name, const Value& entity,

@@ -39,24 +39,30 @@ Result<OperatorPtr> ProjectTo(OperatorPtr child,
       std::make_unique<ProjectOp>(std::move(child), out, std::move(exprs)));
 }
 
-/// Equality predicate `columns == key` over the child's output.
+/// Equality predicate `columns == key values offset..` over the child's
+/// output.
 ExprPtr KeyEqualsPredicate(const Operator& op, const std::vector<int>& cols,
-                           const IndexKey& key) {
+                           const PointKey& key, size_t offset = 0) {
   std::vector<ExprPtr> conjuncts;
   for (size_t i = 0; i < cols.size(); ++i) {
     conjuncts.push_back(MakeCompare(CompareOp::kEq, ColRef(op, cols[i]),
-                                    MakeLiteral(key[i])));
+                                    key.At(offset + i)));
   }
   return ConjoinAll(std::move(conjuncts));
 }
 
 }  // namespace
 
+ExprPtr PointKey::At(size_t i) const {
+  if (parameterised) return std::make_shared<KeySlotExpr>(slot, i);
+  return MakeLiteral((*slot)[i]);
+}
+
 // ---- segment/base streams ------------------------------------------------------
 
 Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
     const std::string& class_name, const std::vector<std::string>& attrs,
-    const IndexKey* key_filter) {
+    const PointKey* key_filter) {
   // Returns a stream over instances of `class_name` whose columns include
   // the full key (named by key attribute names) and every *inline* column
   // among `attrs` (arrays, scalars). Separate-table multi-valued attrs
@@ -103,7 +109,7 @@ Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
       ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
                               ColumnPositions(*table, key_names));
       return OperatorPtr(
-          std::make_unique<IndexLookup>(table, positions, *key_filter));
+          std::make_unique<IndexLookup>(table, positions, key_filter->slot));
     }
     return OperatorPtr(std::make_unique<SeqScan>(table));
   };
@@ -173,21 +179,14 @@ Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
           std::make_unique<UnionAllOp>(std::move(branches)));
     }
     case SegmentLocation::kFoldedInOwner: {
-      // Owner stream (restricted by the owner-key prefix when a full key
-      // filter is present), unnested over the folded array.
+      // Owner stream (restricted by the owner-key prefix of a full key
+      // filter), unnested over the folded array.
       ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> owner_keys,
                               KeyColumnNames(def->owner));
       std::vector<std::string> owner_attrs;  // just the folded column
-      OperatorPtr base;
-      if (key_filter != nullptr) {
-        IndexKey owner_key(key_filter->begin(),
-                           key_filter->begin() + owner_keys.size());
-        ERBIUM_ASSIGN_OR_RETURN(
-            base, BuildSegmentStream(def->owner, owner_attrs, &owner_key));
-      } else {
-        ERBIUM_ASSIGN_OR_RETURN(
-            base, BuildSegmentStream(def->owner, owner_attrs, nullptr));
-      }
+      ERBIUM_ASSIGN_OR_RETURN(
+          OperatorPtr base,
+          BuildSegmentStream(def->owner, owner_attrs, key_filter));
       int folded_idx = ColIndex(*base, class_name);
       if (folded_idx < 0) {
         return Status::Internal("missing folded column " + class_name);
@@ -219,10 +218,8 @@ Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
         for (const std::string& pk : def->partial_key) {
           partial_positions.push_back(ColIndex(*projected, pk));
         }
-        IndexKey partial(key_filter->begin() + owner_keys.size(),
-                         key_filter->end());
-        ExprPtr predicate =
-            KeyEqualsPredicate(*projected, partial_positions, partial);
+        ExprPtr predicate = KeyEqualsPredicate(
+            *projected, partial_positions, *key_filter, owner_keys.size());
         projected = std::make_unique<FilterOp>(std::move(projected),
                                                std::move(predicate));
       }
@@ -278,7 +275,8 @@ Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
       if (key_filter != nullptr) {
         ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
                                 ColumnPositions(*table, prefixed_keys));
-        base = std::make_unique<IndexLookup>(table, positions, *key_filter);
+        base = std::make_unique<IndexLookup>(table, positions,
+                                             key_filter->slot);
       } else {
         base = std::make_unique<SeqScan>(table);
       }
@@ -328,7 +326,7 @@ Result<OperatorPtr> MappedDatabase::BuildSegmentStream(
 
 Result<OperatorPtr> MappedDatabase::BuildEntityPlan(
     const std::string& class_name, const std::vector<std::string>& attrs,
-    const IndexKey* key_filter) {
+    const PointKey* key_filter) {
   if (schema().FindEntitySet(class_name) == nullptr) {
     return Status::NotFound("no entity set named " + class_name);
   }
@@ -375,7 +373,8 @@ Result<OperatorPtr> MappedDatabase::BuildEntityPlan(
     if (key_filter != nullptr) {
       ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
                               ColumnPositions(*side, key_names));
-      side_scan = std::make_unique<IndexLookup>(side, positions, *key_filter);
+      side_scan =
+          std::make_unique<IndexLookup>(side, positions, key_filter->slot);
     } else {
       side_scan = std::make_unique<SeqScan>(side);
     }
@@ -462,7 +461,15 @@ Result<OperatorPtr> MappedDatabase::LookupEntity(
   if (key.size() != key_names.size()) {
     return Status::InvalidArgument("key arity mismatch for " + class_name);
   }
-  return BuildEntityPlan(class_name, attrs, &key);
+  PointKey point{std::make_shared<IndexKey>(key), false};
+  return BuildEntityPlan(class_name, attrs, &point);
+}
+
+Result<OperatorPtr> MappedDatabase::LookupEntity(
+    const std::string& class_name, KeySlot key,
+    const std::vector<std::string>& attrs) {
+  PointKey point{std::move(key), true};
+  return BuildEntityPlan(class_name, attrs, &point);
 }
 
 Result<OperatorPtr> MappedDatabase::ScanMultiValued(
@@ -516,13 +523,29 @@ Result<OperatorPtr> MappedDatabase::ScanMultiValued(
 Result<OperatorPtr> MappedDatabase::LookupWeakByOwner(
     const std::string& weak_entity, const IndexKey& owner_key,
     const std::vector<std::string>& attrs) {
+  return BuildWeakByOwner(
+      weak_entity, PointKey{std::make_shared<IndexKey>(owner_key), false},
+      attrs);
+}
+
+Result<OperatorPtr> MappedDatabase::LookupWeakByOwner(
+    const std::string& weak_entity, KeySlot owner_key,
+    const std::vector<std::string>& attrs) {
+  return BuildWeakByOwner(weak_entity, PointKey{std::move(owner_key), true},
+                          attrs);
+}
+
+Result<OperatorPtr> MappedDatabase::BuildWeakByOwner(
+    const std::string& weak_entity, const PointKey& owner_key,
+    const std::vector<std::string>& attrs) {
   const EntitySetDef* def = schema().FindEntitySet(weak_entity);
   if (def == nullptr || !def->weak) {
     return Status::InvalidArgument(weak_entity + " is not a weak entity set");
   }
   ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> owner_key_names,
                           KeyColumnNames(def->owner));
-  if (owner_key.size() != owner_key_names.size()) {
+  if (!owner_key.parameterised &&
+      owner_key.slot->size() != owner_key_names.size()) {
     return Status::InvalidArgument("owner key arity mismatch");
   }
   ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> key_names,
@@ -552,7 +575,7 @@ Result<OperatorPtr> MappedDatabase::LookupWeakByOwner(
     ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
                             ColumnPositions(*table, owner_key_names));
     OperatorPtr scan =
-        std::make_unique<IndexLookup>(table, positions, owner_key);
+        std::make_unique<IndexLookup>(table, positions, owner_key.slot);
     return ProjectTo(std::move(scan), projection);
   }
   if (loc == SegmentLocation::kFoldedInOwner) {
@@ -567,8 +590,8 @@ Result<OperatorPtr> MappedDatabase::LookupWeakByOwner(
     Table* owner_table = catalog_.GetTable(owner_table_name);
     ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
                             ColumnPositions(*owner_table, owner_key_names));
-    OperatorPtr base =
-        std::make_unique<IndexLookup>(owner_table, positions, owner_key);
+    OperatorPtr base = std::make_unique<IndexLookup>(owner_table, positions,
+                                                     owner_key.slot);
     int folded_idx = ColIndex(*base, weak_entity);
     if (folded_idx < 0) {
       return Status::Internal("missing folded column " + weak_entity);
@@ -793,96 +816,11 @@ Result<OperatorPtr> MappedDatabase::ScanRelationship(
       Table* table = catalog_.GetTable(rel_name);
       return OperatorPtr(std::make_unique<SeqScan>(table));
     }
-    case RelationshipStorage::kForeignKey: {
-      // Stream over the many side's FK carrier, filtered to linked rows.
-      const Participant& many = rel->many_side();
-      const Participant& one = rel->one_side();
-      ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> many_keys,
-                              KeyColumnNames(many.entity));
-      std::vector<std::string> fk_names;
-      for (const Column& c : one.entity == rel->left.entity ? left_key
-                                                            : right_key) {
-        fk_names.push_back(PhysicalMapping::FkColumnName(rel_name, c.name));
-      }
-      // Scan the FK carrier tables directly so the FK columns survive.
-      std::vector<std::string> needed = many_keys;
-      needed.insert(needed.end(), fk_names.begin(), fk_names.end());
-      for (const AttributeDef& attr : rel->attributes) {
-        needed.push_back(PhysicalMapping::FkColumnName(rel_name, attr.name));
-      }
-      std::vector<std::string> carrier_tables;
-      switch (mapping_.segment_location(many.entity)) {
-        case SegmentLocation::kOwnTable:
-          carrier_tables.push_back(many.entity);
-          break;
-        case SegmentLocation::kHierarchySingle:
-          // Rows of other classes carry null FKs and are filtered below.
-          carrier_tables.push_back(mapping_.SegmentTableName(many.entity));
-          break;
-        case SegmentLocation::kHierarchyDisjoint:
-          for (const std::string& cls :
-               schema().SelfAndDescendants(many.entity)) {
-            carrier_tables.push_back(cls);
-          }
-          break;
-        default:
-          return Status::Internal("FK carrier for " + many.entity +
-                                  " has no physical table");
-      }
-      std::vector<OperatorPtr> branches;
-      for (const std::string& carrier : carrier_tables) {
-        Table* table = catalog_.GetTable(carrier);
-        if (table == nullptr) {
-          return Status::Internal("missing carrier table " + carrier);
-        }
-        OperatorPtr scan = std::make_unique<SeqScan>(table);
-        ERBIUM_ASSIGN_OR_RETURN(scan, ProjectTo(std::move(scan), needed));
-        branches.push_back(std::move(scan));
-      }
-      OperatorPtr base =
-          branches.size() == 1
-              ? std::move(branches.front())
-              : OperatorPtr(std::make_unique<UnionAllOp>(std::move(branches)));
-      int first_fk = ColIndex(*base, fk_names.front());
-      if (first_fk < 0) {
-        return Status::Internal("missing FK column " + fk_names.front());
-      }
-      base = std::make_unique<FilterOp>(
-          std::move(base),
-          std::make_shared<IsNullExpr>(ColRef(*base, first_fk), true));
-      // Project to role-prefixed output: left role columns then right.
-      std::vector<Column> out;
-      std::vector<ExprPtr> exprs;
-      auto emit = [&](const Participant& p, const std::vector<Column>& key,
-                      bool is_many) -> Status {
-        for (size_t i = 0; i < key.size(); ++i) {
-          std::string source =
-              is_many ? many_keys[i]
-                      : PhysicalMapping::FkColumnName(rel_name, key[i].name);
-          int idx = ColIndex(*base, source);
-          if (idx < 0) return Status::Internal("missing column " + source);
-          out.push_back(
-              Column{PhysicalMapping::RoleColumnName(p.role, key[i].name),
-                     key[i].type, false});
-          exprs.push_back(MakeColumnRef(idx, out.back().name));
-        }
-        return Status::OK();
-      };
-      bool left_is_many = many.role == rel->left.role;
-      ERBIUM_RETURN_NOT_OK(emit(rel->left, left_key, left_is_many));
-      ERBIUM_RETURN_NOT_OK(emit(rel->right, right_key, !left_is_many));
-      for (const AttributeDef& attr : rel->attributes) {
-        int idx = ColIndex(
-            *base, PhysicalMapping::FkColumnName(rel_name, attr.name));
-        if (idx < 0) {
-          return Status::Internal("missing FK attribute column " + attr.name);
-        }
-        out.push_back(Column{attr.name, attr.type, true});
-        exprs.push_back(MakeColumnRef(idx, attr.name));
-      }
-      return OperatorPtr(std::make_unique<ProjectOp>(
-          std::move(base), std::move(out), std::move(exprs)));
-    }
+    case RelationshipStorage::kForeignKey:
+      return ForeignKeyRelationship(*rel, [](Table* table) {
+        return Result<OperatorPtr>(
+            OperatorPtr(std::make_unique<SeqScan>(table)));
+      });
     case RelationshipStorage::kMaterializedJoin: {
       Table* table = catalog_.GetTable(
           PhysicalMapping::MaterializedTableName(rel_name));
@@ -919,6 +857,169 @@ Result<OperatorPtr> MappedDatabase::ScanRelationship(
       }
       return OperatorPtr(std::make_unique<ProjectOp>(
           std::move(base), std::move(out), std::move(exprs)));
+    }
+  }
+  return Status::Internal("unreachable relationship storage");
+}
+
+Result<OperatorPtr> MappedDatabase::ForeignKeyRelationship(
+    const RelationshipSetDef& rel,
+    const std::function<Result<OperatorPtr>(Table*)>& carrier_source) {
+  // Stream over the many side's FK carrier, filtered to linked rows.
+  const std::string& rel_name = rel.name;
+  ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> left_key,
+                          mapping_.KeyColumns(rel.left.entity));
+  ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> right_key,
+                          mapping_.KeyColumns(rel.right.entity));
+  const Participant& many = rel.many_side();
+  const Participant& one = rel.one_side();
+  ERBIUM_ASSIGN_OR_RETURN(std::vector<std::string> many_keys,
+                          KeyColumnNames(many.entity));
+  std::vector<std::string> fk_names;
+  for (const Column& c : one.entity == rel.left.entity ? left_key
+                                                       : right_key) {
+    fk_names.push_back(PhysicalMapping::FkColumnName(rel_name, c.name));
+  }
+  // Read the FK carrier tables directly so the FK columns survive.
+  std::vector<std::string> needed = many_keys;
+  needed.insert(needed.end(), fk_names.begin(), fk_names.end());
+  for (const AttributeDef& attr : rel.attributes) {
+    needed.push_back(PhysicalMapping::FkColumnName(rel_name, attr.name));
+  }
+  std::vector<std::string> carrier_tables;
+  switch (mapping_.segment_location(many.entity)) {
+    case SegmentLocation::kOwnTable:
+      carrier_tables.push_back(many.entity);
+      break;
+    case SegmentLocation::kHierarchySingle:
+      // Rows of other classes carry null FKs and are filtered below.
+      carrier_tables.push_back(mapping_.SegmentTableName(many.entity));
+      break;
+    case SegmentLocation::kHierarchyDisjoint:
+      for (const std::string& cls : schema().SelfAndDescendants(many.entity)) {
+        carrier_tables.push_back(cls);
+      }
+      break;
+    default:
+      return Status::Internal("FK carrier for " + many.entity +
+                              " has no physical table");
+  }
+  std::vector<OperatorPtr> branches;
+  for (const std::string& carrier : carrier_tables) {
+    Table* table = catalog_.GetTable(carrier);
+    if (table == nullptr) {
+      return Status::Internal("missing carrier table " + carrier);
+    }
+    ERBIUM_ASSIGN_OR_RETURN(OperatorPtr scan, carrier_source(table));
+    ERBIUM_ASSIGN_OR_RETURN(scan, ProjectTo(std::move(scan), needed));
+    branches.push_back(std::move(scan));
+  }
+  OperatorPtr base =
+      branches.size() == 1
+          ? std::move(branches.front())
+          : OperatorPtr(std::make_unique<UnionAllOp>(std::move(branches)));
+  int first_fk = ColIndex(*base, fk_names.front());
+  if (first_fk < 0) {
+    return Status::Internal("missing FK column " + fk_names.front());
+  }
+  base = std::make_unique<FilterOp>(
+      std::move(base),
+      std::make_shared<IsNullExpr>(ColRef(*base, first_fk), true));
+  // Project to role-prefixed output: left role columns then right.
+  std::vector<Column> out;
+  std::vector<ExprPtr> exprs;
+  auto emit = [&](const Participant& p, const std::vector<Column>& key,
+                  bool is_many) -> Status {
+    for (size_t i = 0; i < key.size(); ++i) {
+      std::string source =
+          is_many ? many_keys[i]
+                  : PhysicalMapping::FkColumnName(rel_name, key[i].name);
+      int idx = ColIndex(*base, source);
+      if (idx < 0) return Status::Internal("missing column " + source);
+      out.push_back(
+          Column{PhysicalMapping::RoleColumnName(p.role, key[i].name),
+                 key[i].type, false});
+      exprs.push_back(MakeColumnRef(idx, out.back().name));
+    }
+    return Status::OK();
+  };
+  bool left_is_many = many.role == rel.left.role;
+  ERBIUM_RETURN_NOT_OK(emit(rel.left, left_key, left_is_many));
+  ERBIUM_RETURN_NOT_OK(emit(rel.right, right_key, !left_is_many));
+  for (const AttributeDef& attr : rel.attributes) {
+    int idx =
+        ColIndex(*base, PhysicalMapping::FkColumnName(rel_name, attr.name));
+    if (idx < 0) {
+      return Status::Internal("missing FK attribute column " + attr.name);
+    }
+    out.push_back(Column{attr.name, attr.type, true});
+    exprs.push_back(MakeColumnRef(idx, attr.name));
+  }
+  return OperatorPtr(std::make_unique<ProjectOp>(
+      std::move(base), std::move(out), std::move(exprs)));
+}
+
+Result<OperatorPtr> MappedDatabase::LookupRelationship(
+    const std::string& rel_name, const std::string& bound_role,
+    KeySlot key) {
+  const RelationshipSetDef* rel = schema().FindRelationshipSet(rel_name);
+  if (rel == nullptr) {
+    return Status::NotFound("no relationship set named " + rel_name);
+  }
+  if (bound_role != rel->left.role && bound_role != rel->right.role) {
+    return Status::InvalidArgument(rel_name + " has no role " + bound_role);
+  }
+  const Participant& bound =
+      bound_role == rel->left.role ? rel->left : rel->right;
+  ERBIUM_ASSIGN_OR_RETURN(std::vector<Column> bound_key,
+                          mapping_.KeyColumns(bound.entity));
+  std::vector<std::string> probe_columns;  // the bound side, as stored
+  for (const Column& c : bound_key) {
+    probe_columns.push_back(PhysicalMapping::RoleColumnName(bound.role, c.name));
+  }
+  switch (mapping_.spec().relationship_storage(*rel)) {
+    case RelationshipStorage::kJoinTable: {
+      Table* table = catalog_.GetTable(rel_name);
+      ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
+                              ColumnPositions(*table, probe_columns));
+      return OperatorPtr(
+          std::make_unique<IndexLookup>(table, positions, std::move(key)));
+    }
+    case RelationshipStorage::kForeignKey: {
+      // One side bound: its key is the FK value. Many side bound: its key
+      // names the carrier row itself.
+      bool many_bound = bound.role == rel->many_side().role;
+      std::vector<std::string> carrier_columns;
+      if (many_bound) {
+        ERBIUM_ASSIGN_OR_RETURN(carrier_columns, KeyColumnNames(bound.entity));
+      } else {
+        for (const Column& c : bound_key) {
+          carrier_columns.push_back(
+              PhysicalMapping::FkColumnName(rel_name, c.name));
+        }
+      }
+      return ForeignKeyRelationship(
+          *rel, [&](Table* table) -> Result<OperatorPtr> {
+            ERBIUM_ASSIGN_OR_RETURN(std::vector<int> positions,
+                                    ColumnPositions(*table, carrier_columns));
+            return OperatorPtr(
+                std::make_unique<IndexLookup>(table, positions, key));
+          });
+    }
+    case RelationshipStorage::kMaterializedJoin:
+    case RelationshipStorage::kFactorized: {
+      // Both endpoints' segments share one structure; probing it by one
+      // side would still leave the other side to assemble, so filter the
+      // relationship stream instead.
+      ERBIUM_ASSIGN_OR_RETURN(OperatorPtr scan, ScanRelationship(rel_name));
+      std::vector<int> positions;
+      for (const std::string& name : probe_columns) {
+        positions.push_back(ColIndex(*scan, name));
+      }
+      ExprPtr predicate =
+          KeyEqualsPredicate(*scan, positions, PointKey{std::move(key), true});
+      return OperatorPtr(
+          std::make_unique<FilterOp>(std::move(scan), std::move(predicate)));
     }
   }
   return Status::Internal("unreachable relationship storage");

@@ -68,6 +68,7 @@ std::string EncodeStatementBody(const std::string& statement) {
 std::string EncodeResultBody(const api::StatementOutcome& outcome) {
   std::string body;
   PutU8(static_cast<uint8_t>(outcome.shape), &body);
+  PutU32(static_cast<uint32_t>(outcome.shard), &body);
   PutString(outcome.message, &body);
   PutU32(static_cast<uint32_t>(outcome.result.columns.size()), &body);
   for (const std::string& column : outcome.result.columns) {
@@ -156,6 +157,8 @@ Result<api::StatementOutcome> DecodeResultBody(const std::string& body,
                            std::to_string(shape));
   }
   outcome.shape = static_cast<api::OutputShape>(shape);
+  ERBIUM_ASSIGN_OR_RETURN(uint32_t shard, reader.U32());
+  outcome.shard = static_cast<int32_t>(shard);
   ERBIUM_ASSIGN_OR_RETURN(outcome.message, reader.String());
   ERBIUM_ASSIGN_OR_RETURN(uint32_t n_columns, reader.U32());
   // Trust counts only as far as the bytes present (a column name costs

@@ -47,7 +47,9 @@ namespace server {
 ///   kStatementSeq u64 seq, string statement_text
 ///   kPing         (empty)
 ///   kGoodbye      (empty)
-///   kResult       u8 shape (api::OutputShape), string message,
+///   kResult       u8 shape (api::OutputShape),
+///                 u32 shard (api::StatementOutcome::shard as two's
+///                 complement; 0xFFFFFFFF = none), string message,
 ///                 u32 n_columns, n_columns * string,
 ///                 u32 n_rows, n_rows * Values (serde PutValues)
 ///   kResultSeq    u64 seq, then a kResult body
@@ -79,7 +81,8 @@ enum class FrameType : uint8_t {
 /// in the handshake with kError(InvalidArgument). New frame *types* are
 /// append-only and do not bump the version: a peer that never sends
 /// kStatementSeq never sees a seq-tagged reply.
-constexpr uint32_t kProtocolVersion = 1;
+/// Version 2 added the shard field to kResult bodies.
+constexpr uint32_t kProtocolVersion = 2;
 
 /// Upper bound on a frame payload. A length prefix above this is
 /// rejected before any buffering, so a garbage header cannot cause a

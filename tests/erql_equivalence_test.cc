@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
+#include "api/statement_runner.h"
 #include "erql/query_engine.h"
 #include "workload/figure4.h"
 
@@ -137,6 +140,180 @@ TEST_P(ErqlEquivalenceTest, PlansDifferButResultsAgree) {
   if (name != "M6") {
     EXPECT_NE(plan.find("IndexLookup"), std::string::npos) << plan;
   }
+}
+
+// ---- Key-bound navigations -------------------------------------------------
+// A navigation whose outer alias pins its full key compiles to index
+// probes (LookupJoinOp over LookupRelationship / LookupEntity /
+// LookupWeakByOwner). Each shape below runs once in that key-bound form
+// and once with the key hidden behind arithmetic (`k + 0 = K`), which is
+// not a pinned key and keeps the hash-join plan; both must return the
+// same multiset under every mapping and shard count.
+
+struct NavigationShape {
+  const char* name;
+  const char* select_from;    // everything before WHERE
+  const char* key_bound;      // WHERE clause pinning the outer full key
+  const char* not_key_bound;  // the same predicate, unpinned
+  bool two_part_key;          // %1 / %2 are (owner key, partial key)
+};
+
+const NavigationShape kNavigationShapes[] = {
+    {"RS from R", "SELECT s.s_id, rs_a1, s.s_a1, s.s_a2 FROM R r JOIN S s ON RS",
+     "r.r_id = %1", "r.r_id + 0 = %1", false},
+    {"RS from S",
+     "SELECT r.r_id, rs_a1, r.r_a1, r.r_mv1 FROM S s JOIN R r ON RS",
+     "s.s_id = %1", "s.s_id + 0 = %1", false},
+    {"R1R3 one side bound",
+     "SELECT c.r_id, c.r3_a1, c.r_a4 FROM R1 p JOIN R3 c ON R1R3",
+     "p.r_id = %1", "p.r_id + 0 = %1", false},
+    {"R1R3 many side bound",
+     "SELECT p.r_id, p.r1_a1, p.r_mv2 FROM R3 c JOIN R1 p ON R1R3",
+     "c.r_id = %1", "c.r_id + 0 = %1", false},
+    {"S_S1 owner bound",
+     "SELECT s1.s1_no, s1.s1_a1, s1.s1_a2 FROM S s JOIN S1 s1 ON S_S1",
+     "s.s_id = %1", "s.s_id + 0 = %1", false},
+    {"S_S1 weak bound", "SELECT s.s_id, s.s_a1 FROM S1 s1 JOIN S s ON S_S1",
+     "s1.s_id = %1 AND s1.s1_no = %2", "s1.s_id + 0 = %1 AND s1.s1_no = %2",
+     true},
+    {"R2S1 from R2", "SELECT s1.s_id, s1.s1_no FROM R2 r JOIN S1 s1 ON R2S1",
+     "r.r_id = %1", "r.r_id + 0 = %1", false},
+    // The R2S1 leg leaves a point-bound alias that is not the FROM alias,
+    // so under M6 / M6pg it probes the fused storage (scan + filter).
+    {"S_S1 then R2S1",
+     "SELECT r.r_id, r.r2_a1, s.s_a1 FROM S1 s1 JOIN S s ON S_S1 "
+     "JOIN R2 r ON R2S1",
+     "s1.s_id = %1 AND s1.s1_no = %2", "s1.s_id + 0 = %1 AND s1.s1_no = %2",
+     true},
+    {"RS then S_S1",
+     "SELECT s.s_id, rs_a1, s1.s1_no FROM R r JOIN S s ON RS "
+     "JOIN S1 s1 ON S_S1",
+     "r.r_id = %1", "r.r_id + 0 = %1", false},
+};
+
+std::string Bind(std::string text, int64_t key, int64_t partial) {
+  for (const auto& [mark, value] :
+       {std::pair<std::string, int64_t>{"%1", key}, {"%2", partial}}) {
+    for (size_t at = text.find(mark); at != std::string::npos;
+         at = text.find(mark)) {
+      text.replace(at, mark.size(), std::to_string(value));
+    }
+  }
+  return text;
+}
+
+struct NavigationCase {
+  std::string preset;  // REMAP preset ("m1" .. "m6", "m6pg")
+  int shards;
+};
+
+class NavigationEquivalenceTest
+    : public ::testing::TestWithParam<NavigationCase> {};
+
+// Fused storages (M6, M6pg) cannot be sharded, so they run at one shard.
+INSTANTIATE_TEST_SUITE_P(
+    Figure4, NavigationEquivalenceTest,
+    ::testing::Values(NavigationCase{"m1", 1}, NavigationCase{"m2", 1},
+                      NavigationCase{"m3", 1}, NavigationCase{"m4", 1},
+                      NavigationCase{"m5", 1}, NavigationCase{"m6", 1},
+                      NavigationCase{"m6pg", 1}, NavigationCase{"m1", 4},
+                      NavigationCase{"m2", 4}, NavigationCase{"m3", 4},
+                      NavigationCase{"m4", 4}, NavigationCase{"m5", 4}),
+    [](const ::testing::TestParamInfo<NavigationCase>& info) {
+      return info.param.preset + "_shards" +
+             std::to_string(info.param.shards);
+    });
+
+TEST_P(NavigationEquivalenceTest, KeyBoundMatchesHashJoinPlan) {
+  api::StatementRunner::Options options;
+  options.figure4 = true;
+  options.figure4_num_r = 160;
+  options.figure4_num_s = 40;
+  options.shards = GetParam().shards;
+  auto created = api::StatementRunner::Create(std::move(options));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<api::StatementRunner> runner = std::move(created).value();
+  // Entities with no edges at all, inserted before the remap so every
+  // storage carries them.
+  for (const char* insert :
+       {"INSERT R (r_id = 9001, r_a1 = 1, r_a4 = 1)",
+        "INSERT R1 (r_id = 9002, r_a1 = 2, r1_a1 = 2)",
+        "INSERT R2 (r_id = 9003, r_a1 = 3, r2_a1 = 3)",
+        "INSERT S (s_id = 9004, s_a1 = 4)",
+        "INSERT S1 (s_id = 9004, s1_no = 1, s1_a1 = 5)"}) {
+    ASSERT_TRUE(runner->Execute(insert).ok()) << insert;
+  }
+  if (GetParam().preset != "m1") {
+    auto remap = runner->Execute("REMAP " + GetParam().preset);
+    ASSERT_TRUE(remap.ok()) << remap.status().ToString();
+  }
+  std::vector<int64_t> keys;
+  for (int64_t k = 1; k <= 24; ++k) keys.push_back(k);
+  keys.insert(keys.end(), {9001, 9002, 9003, 9004, 123456});  // 123456: none
+
+  for (const NavigationShape& shape : kNavigationShapes) {
+    SCOPED_TRACE(shape.name);
+    int empty = 0;
+    int non_empty = 0;
+    for (int64_t key : keys) {
+      for (int64_t partial : shape.two_part_key ? std::vector<int64_t>{1, 2, 9}
+                                                : std::vector<int64_t>{0}) {
+        std::string bound = Bind(std::string(shape.select_from) + " WHERE " +
+                                     shape.key_bound,
+                                 key, partial);
+        std::string unbound = Bind(std::string(shape.select_from) +
+                                       " WHERE " + shape.not_key_bound,
+                                   key, partial);
+        auto got = runner->Execute(bound);
+        auto want = runner->Execute(unbound);
+        ASSERT_TRUE(got.ok()) << bound << "\n" << got.status().ToString();
+        ASSERT_TRUE(want.ok()) << unbound << "\n" << want.status().ToString();
+        EXPECT_EQ(got->result.ToCanonicalString(),
+                  want->result.ToCanonicalString())
+            << bound;
+        (got->result.rows.empty() ? empty : non_empty) += 1;
+      }
+    }
+    // Every shape saw keys with edges and keys without (or missing).
+    EXPECT_GT(empty, 0);
+    EXPECT_GT(non_empty, 0);
+  }
+}
+
+// Under shards > 1 a navigation probes only where its edges are
+// branch-local: edges live with the relationship's dominant side, so a
+// bound non-dominant side (R1R3's one side: the FK sits on R3) keeps the
+// cross-shard hash join.
+TEST(NavigationShardingTest, ProbesOnlyBranchLocalJoins) {
+  api::StatementRunner::Options options;
+  options.figure4 = true;
+  options.figure4_num_r = 80;
+  options.figure4_num_s = 20;
+  options.shards = 4;
+  auto created = api::StatementRunner::Create(std::move(options));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<api::StatementRunner> runner = std::move(created).value();
+  auto plan_of = [&](const std::string& query) {
+    auto explained = runner->Execute("EXPLAIN " + query);
+    EXPECT_TRUE(explained.ok()) << explained.status().ToString();
+    std::string out;
+    if (explained.ok()) {
+      for (const Row& row : explained->result.rows) out += row[0].ToString();
+    }
+    return out;
+  };
+  for (const char* local :
+       {"SELECT s.s_id FROM R r JOIN S s ON RS WHERE r.r_id = 7",
+        "SELECT c.r_id FROM R3 c JOIN R1 p ON R1R3 WHERE c.r_id = 7",
+        "SELECT s1.s1_no FROM S s JOIN S1 s1 ON S_S1 WHERE s.s_id = 3"}) {
+    std::string plan = plan_of(local);
+    EXPECT_NE(plan.find("LookupJoin"), std::string::npos) << local << plan;
+    EXPECT_EQ(plan.find("HashJoin"), std::string::npos) << local << plan;
+  }
+  std::string plan =
+      plan_of("SELECT c.r_id FROM R1 p JOIN R3 c ON R1R3 WHERE p.r_id = 7");
+  EXPECT_EQ(plan.find("LookupJoin"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("HashJoin"), std::string::npos) << plan;
 }
 
 }  // namespace

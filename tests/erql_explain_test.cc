@@ -221,5 +221,57 @@ TEST(ErqlExplainTest, ParallelAnalyzeReportsWorkersAndMorsels) {
   EXPECT_NE(all.find("morsels="), std::string::npos) << all;
 }
 
+// A key-bound navigation compiles to index probes: the outer point
+// lookup, a probe of the relationship's index per outer row and a probe
+// of the far entity per edge. No full scan, no hash join.
+TEST(ErqlExplainTest, KeyBoundNavigationProbesIndexes) {
+  Fixture f = MakeDb(Figure4M1());
+  erql::QueryResult result = RunQuery(
+      f.db.get(),
+      "EXPLAIN SELECT s.s_id FROM R r JOIN S s ON RS WHERE r.r_id = 7");
+  std::string tree;
+  for (const std::string& line : TreeLines(result)) tree += line + "\n";
+  EXPECT_EQ(tree.find("HashJoin"), std::string::npos) << tree;
+  EXPECT_EQ(tree.find("SeqScan"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("LookupJoin"), std::string::npos) << tree;
+  for (const char* probe :
+       {"IndexLookup(R)", "IndexLookup(RS)", "IndexLookup(S)"}) {
+    EXPECT_NE(tree.find(probe), std::string::npos) << probe << "\n" << tree;
+  }
+}
+
+// rows=N of the first plan line starting (after indentation) with `op`.
+uint64_t OpRows(const erql::QueryResult& result, const std::string& op) {
+  for (const std::string& line : TreeLines(result)) {
+    if (Trimmed(line).rfind(op, 0) != 0) continue;
+    size_t pos = line.find("rows=");
+    if (pos == std::string::npos) break;
+    return std::stoull(line.substr(pos + 5));
+  }
+  ADD_FAILURE() << "no " << op << " line";
+  return 0;
+}
+
+// The inner side of a lookup join is re-opened once per outer row; its
+// ANALYZE row counts add up over the re-opens to what it really produced.
+TEST(ErqlExplainTest, AnalyzeCountsRowsAcrossReopens) {
+  Fixture f = MakeDb(Figure4M1());
+  for (int64_t key : {7, 8, 123456}) {  // 123456 names no S
+    // r_mv1 on the far side re-opens a grouped side-table probe too.
+    std::string query =
+        "SELECT r.r_id, r.r_mv1, rs_a1 FROM S s JOIN R r ON RS "
+        "WHERE s.s_id = " +
+        std::to_string(key);
+    uint64_t actual = RunQuery(f.db.get(), query).rows.size();
+    erql::QueryResult analyzed =
+        RunQuery(f.db.get(), "EXPLAIN ANALYZE " + query);
+    EXPECT_EQ(RootRows(analyzed), actual) << query;
+    EXPECT_EQ(OpRows(analyzed, "IndexLookup(S)"), key < 123456 ? 1u : 0u)
+        << query;
+    EXPECT_EQ(OpRows(analyzed, "IndexLookup(RS)"), actual) << query;
+    EXPECT_EQ(OpRows(analyzed, "IndexLookup(R)"), actual) << query;
+  }
+}
+
 }  // namespace
 }  // namespace erbium

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,7 +17,10 @@
 
 #include "api/statement_runner.h"
 #include "erql/plan_cache.h"
+#include "erql/query_engine.h"
+#include "exec/join.h"
 #include "obs/metrics.h"
+#include "workload/figure4.h"
 
 namespace erbium {
 namespace erql {
@@ -111,6 +115,84 @@ TEST(PlanCacheTest, ZeroIsHandledByOwnerNotCache) {
   ASSERT_TRUE(runner.ok()) << runner.status().ToString();
   EXPECT_EQ((*runner)->plan_cache(), nullptr);
   EXPECT_TRUE((*runner)->Execute("SELECT r_id FROM R WHERE r_id = 1").ok());
+}
+
+// ---- Idle plans hold no per-execution state -------------------------------
+
+void VisitPlan(const Operator& op,
+               const std::function<void(const Operator&)>& visit) {
+  visit(op);
+  for (const Operator* child : op.children()) VisitPlan(*child, visit);
+}
+
+class PlanCacheReleaseTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Figure4Config config;
+    config.num_r = 200;
+    config.num_s = 60;
+    auto db = MakeFigure4Database(Figure4M1(), config, &schema_);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    db_ = std::move(db).value();
+  }
+
+  std::string Run(const std::string& query) {
+    auto result = QueryEngine::Execute(db_.get(), query, ExecOptions::Serial(),
+                                       &cache_, 1);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result->ToCanonicalString() : std::string();
+  }
+
+  std::shared_ptr<ERSchema> schema_;
+  std::unique_ptr<MappedDatabase> db_;
+  PlanCache cache_{8};
+};
+
+TEST_F(PlanCacheReleaseTest, CheckedInHashJoinPlanHoldsNoBuildRows) {
+  const std::string q =
+      "SELECT r.r_id, s.s_id, rs_a1 FROM R r JOIN S s ON RS "
+      "WHERE s.s_a1 < 5000";
+  std::string first = Run(q);
+  auto plan = cache_.Checkout(PlanCache::NormalizeStatement(q), 1);
+  ASSERT_NE(plan, nullptr);
+  size_t hash_joins = 0;
+  VisitPlan(*plan->plan, [&](const Operator& op) {
+    if (const auto* join = dynamic_cast<const HashJoinOp*>(&op)) {
+      ++hash_joins;
+      EXPECT_EQ(join->build_entries(), 0u) << join->name();
+    }
+  });
+  EXPECT_GT(hash_joins, 0u);
+  cache_.CheckIn(PlanCache::NormalizeStatement(q), 1, std::move(plan));
+  // The next execution rebuilds the tables and answers the same.
+  EXPECT_EQ(Run(q), first);
+}
+
+TEST_F(PlanCacheReleaseTest, CachedNestedLoopJoinReadsFreshRows) {
+  const std::string q =
+      "SELECT a.r_id, b.r_id AS other FROM R3 a JOIN R4 b "
+      "ON a.r1_a1 < b.r1_a1 WHERE a.r_id < 40";
+  std::string first = Run(q);
+  auto plan = cache_.Checkout(PlanCache::NormalizeStatement(q), 1);
+  ASSERT_NE(plan, nullptr);
+  size_t loops = 0;
+  VisitPlan(*plan->plan, [&](const Operator& op) {
+    if (const auto* join = dynamic_cast<const NestedLoopJoinOp*>(&op)) {
+      ++loops;
+      EXPECT_EQ(join->materialized_rows(), 0u);
+    }
+  });
+  EXPECT_EQ(loops, 1u);
+  cache_.CheckIn(PlanCache::NormalizeStatement(q), 1, std::move(plan));
+  // A row inserted after the first run joins in the second: the cached
+  // plan re-materializes its right side instead of replaying old rows.
+  ASSERT_TRUE(db_->InsertEntity(
+                     "R4", Value::Struct({{"r_id", Value::Int64(900001)},
+                                          {"r1_a1", Value::Int64(1 << 30)}}))
+                  .ok());
+  std::string second = Run(q);
+  EXPECT_NE(second, first);
+  EXPECT_NE(second.find("900001"), std::string::npos);
 }
 
 // ---- Runner integration: correctness across invalidation events -----------

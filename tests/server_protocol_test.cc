@@ -121,6 +121,21 @@ TEST(ProtocolBodyTest, ResultRoundTripsAllValueKinds) {
   EXPECT_EQ(decoded->result.rows[1][3].as_bool(), false);
 }
 
+TEST(ProtocolBodyTest, ResultRoundTripsShard) {
+  // A sharded INSERT's acknowledgement names the shard it was routed to;
+  // -1 (unsharded, broadcast, structural) survives the trip too.
+  for (int shard : {3, 0, -1}) {
+    api::StatementOutcome outcome;
+    outcome.shape = api::OutputShape::kMessage;
+    outcome.message = "inserted";
+    outcome.shard = shard;
+    auto decoded = DecodeResultBody(EncodeResultBody(outcome));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->shard, shard);
+    EXPECT_EQ(decoded->message, "inserted");
+  }
+}
+
 TEST(ProtocolBodyTest, StatementSeqRoundTrips) {
   auto decoded = DecodeStatementSeqBody(
       EncodeStatementSeqBody(7, "SELECT r_id FROM R"));
@@ -250,6 +265,7 @@ TEST(ProtocolBodyTest, ResultWithLyingCountsFailsCleanly) {
   // trusted into a huge allocation.
   std::string body;
   body.push_back(static_cast<char>(api::OutputShape::kTable));
+  body += std::string("\xff\xff\xff\xff", 4);    // no shard
   body += std::string(4, '\0');                  // empty message
   body += std::string("\xff\xff\xff\x7f", 4);    // 2^31-ish column count
   auto decoded = DecodeResultBody(body);

@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "api/statement_runner.h"
+#include "server/client.h"
+#include "server/server.h"
 #include "shard/co_partition.h"
 #include "workload/figure4.h"
 
@@ -322,6 +324,41 @@ TEST(ShardedDdlTest, FanOutCreateThenRoutedInserts) {
 
   // Duplicate keys are rejected across shards, not just locally.
   EXPECT_FALSE(runner->Execute("INSERT D (id = 7, v = 0)").ok());
+}
+
+TEST(ShardedDdlTest, WireAcknowledgementCarriesRoutedShard) {
+  server::ServerOptions options;
+  options.port = 0;
+  options.runner.shards = 4;
+  auto started = server::Server::Start(std::move(options));
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<server::Server> srv = std::move(started).value();
+  server::Client::Options client_options;
+  client_options.port = srv->port();
+  client_options.name = "shard-ack";
+  auto client = server::Client::Connect(client_options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  ASSERT_TRUE(
+      (*client)->Execute("CREATE ENTITY D ( id INT KEY, v INT )").ok());
+  std::set<int> shards_hit;
+  for (int id = 0; id < 64; ++id) {
+    auto ack = (*client)->Execute("INSERT D (id = " + std::to_string(id) +
+                                  ", v = " + std::to_string(id) + ")");
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    ASSERT_GE(ack->shard, 0);
+    ASSERT_LT(ack->shard, 4);
+    shards_hit.insert(ack->shard);
+    // The shard named over the wire is the one a routed read finds the
+    // row on.
+    auto row = (*client)->Execute("SELECT v FROM D WHERE id = " +
+                                  std::to_string(id));
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    EXPECT_EQ(row->shard, ack->shard);
+    ASSERT_EQ(row->result.rows.size(), 1u);
+  }
+  EXPECT_EQ(shards_hit.size(), 4u);
+  EXPECT_TRUE(srv->Stop().ok());
 }
 
 TEST(ShowShardsTest, OneRowPerShardInsertsSumMatches) {
